@@ -1,7 +1,7 @@
 """Shared fixtures and report helpers for the experiment benchmarks.
 
 Every ``bench_e*.py`` regenerates one table/figure-shaped claim of the
-paper (see the experiment index in DESIGN.md).  Each benchmark stores
+paper (E1-E18; ``make bench`` runs them all).  Each benchmark stores
 its reproduced rows in ``benchmark.extra_info`` so the claim's shape is
 part of the recorded output, and asserts the qualitative property the
 paper reports (who wins, which classification, which equivalence).

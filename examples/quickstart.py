@@ -13,13 +13,11 @@ from repro.core import (
     OneCQ,
     certain_answer,
     compile_programs,
-    configure_pool,
     evaluate,
     iter_cactuses,
     matrix_backend_available,
     parallel_evaluate_batch,
     probe_boundedness,
-    shutdown_pool,
     ucq_certain_answers,
     ucq_rewriting,
 )
@@ -81,24 +79,28 @@ def main() -> None:
     #    Backends: "naive" (oracle), "bitset" (default), "matrix"
     #    (numpy boolean-matrix semiring, best on large edge-rich
     #    targets; falls back to the bitset search when numpy is
-    #    missing).  Select per call with backend=..., per process with
-    #    set_default_backend(...) or REPRO_HOM_BACKEND.
+    #    missing).  Select per call with backend=..., per session with
+    #    EngineConfig(backend=...), for the default session with
+    #    REPRO_HOM_BACKEND.
     #
     #    Batch traffic can shard across a bounded process pool:
-    #    REPRO_HOM_WORKERS (or configure_pool) sets the worker count,
-    #    REPRO_HOM_PARALLEL_MIN the batch size below which everything
-    #    stays on the serial fast path.  ucq_certain_answers and the
-    #    boundedness probe route through it automatically;
-    #    parallel_evaluate_batch / parallel_covers_any /
-    #    parallel_screen are the direct entry points.
+    #    EngineConfig(workers=...) (REPRO_HOM_WORKERS) sets the worker
+    #    count, parallel_min (REPRO_HOM_PARALLEL_MIN) the batch size
+    #    below which everything stays on the serial fast path.
+    #    ucq_certain_answers and the boundedness probe route through it
+    #    automatically; parallel_evaluate_batch / parallel_covers_any /
+    #    parallel_screen are the direct entry points.  A session's
+    #    settings are fixed by its config: for another pool size, build
+    #    another session.
     # ------------------------------------------------------------------
     print()
     print(f"matrix backend available: {matrix_backend_available()}")
     family = instance_family(count=32, n=20, edge_count=40, seed=1)
-    configure_pool(workers=2, min_batch=16)
-    answers = parallel_evaluate_batch(rewriting[0], family)
-    screened = ucq_certain_answers(rewriting, family)
-    shutdown_pool()
+    with Session(EngineConfig(workers=2, parallel_min=16)) as pooled:
+        answers = parallel_evaluate_batch(
+            rewriting[0], family, session=pooled
+        )
+        screened = pooled.ucq_certain_answers(rewriting, family)
     print(f"family of {len(family)} instances: "
           f"{sum(answers)} match disjunct 0, "
           f"{sum(screened)} satisfy the full UCQ")
@@ -106,30 +108,28 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 7. Sessions: one typed configuration + execution context.
     #
-    #    Everything above ran in the *default session*, configured from
-    #    the REPRO_* environment on first use — which is why the free
-    #    functions keep working exactly as before.  For anything beyond
-    #    one-off calls, build an explicit Session: it owns a frozen
-    #    EngineConfig plus all mutable engine state (hom backend +
-    #    hom-cache, cactus factory pool + structure intern, process
-    #    pool), so two differently-configured evaluations can live side
-    #    by side in one process without sharing anything.
+    #    Sections 1-5 ran in the *default session*, configured from the
+    #    REPRO_* environment on first use.  For anything beyond one-off
+    #    calls, build an explicit Session: it owns a frozen EngineConfig
+    #    plus all mutable engine state (hom backend + hom-cache, cactus
+    #    factory pool + structure intern, process pool), so two
+    #    differently-configured evaluations can live side by side in one
+    #    process without sharing anything.
     #
-    #    Migration from the free functions is mechanical:
+    #    Every free function takes session=...; the common ones are
+    #    also methods:
     #        certain_answer(q, d)        -> session.certain_answer(q, d)
-    #        dsirup.evaluate(q, d, s)    -> session.evaluate_dsirup(q, d, s)
-    #          (session.evaluate() now takes a *semiring* — see sec. 10;
-    #           the old strategy form warns and delegates)
-    #        count_homomorphisms         -> session.count_homomorphisms
-    #          (now a thin wrapper over the COUNT semiring instance)
+    #        evaluate_dsirup(q, d, s)    -> session.evaluate_dsirup(q, d, s)
+    #          (session.evaluate() takes a *semiring* — see sec. 10)
+    #        hom counting                -> session.count_homomorphisms
+    #          (a thin wrapper over the COUNT semiring instance)
     #        decide_boundedness(q)       -> session.decide_boundedness(q)
     #        probe_boundedness(cq, d)    -> session.probe_boundedness(cq, d)
     #        ucq_certain_answers(u, f)   -> session.ucq_certain_answers(u, f)
     #        parallel_screen(qs, f)      -> session.screen(qs, f)
-    #        set_default_backend(b)      -> EngineConfig(backend=b)
-    #        configure_cache(...)        -> EngineConfig(hom_cache...=...)
-    #        configure_pool(w, m)        -> EngineConfig(workers=w,
-    #                                                    parallel_min=m)
+    #    Backend, cache and pool settings live only in EngineConfig;
+    #    session.hom_cache_info(), pool_info(), clear_caches() and
+    #    close() inspect and release the state they govern.
     #    Precedence everywhere is env < config < per-call kwarg, and
     #    EngineConfig.from_env() is the only place REPRO_* is read.
     #

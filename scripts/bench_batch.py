@@ -51,16 +51,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-# Measure the engine, not the caches: the parent process and every
-# forked worker run with the hom-cache and the worker-side structure
-# cache disabled, so repeated rounds are never answered from an LRU.
-# Setting the environment (rather than configure_cache on the parent
-# session) is deliberate — workers build their default session from
-# the inherited environment, and EngineConfig.from_env reads it at
-# first engine use, i.e. after these lines.
-os.environ["REPRO_HOM_CACHE"] = "0"
-os.environ["REPRO_HOM_WORKER_CACHE"] = "0"
-
+from repro import EngineConfig, Session  # noqa: E402
 from repro.core.homengine import (  # noqa: E402
     covers_any,
     evaluate_batch,
@@ -68,12 +59,9 @@ from repro.core.homengine import (  # noqa: E402
     matrix_backend_available,
 )
 from repro.core.runtime import (  # noqa: E402
-    configure_pool,
     parallel_covers_any,
     parallel_evaluate_batch,
     parallel_screen,
-    pool_info,
-    shutdown_pool,
 )
 from repro.core.structure import StructureBuilder, path_structure  # noqa: E402
 from repro.workloads.generators import (  # noqa: E402
@@ -143,7 +131,26 @@ def geomean(values: list[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def bench_backend_duel(rounds: int) -> dict:
+def bench_session() -> Session:
+    """The session every measurement runs in.
+
+    Measure the engine, not the caches: the hom-cache and the
+    worker-side structure cache are off, so repeated rounds are never
+    answered from an LRU.  Pool workers build their sessions from the
+    config shipped with every task, so they run uncached too.  The pool
+    is sized for the sharding duel; serial entry points never use it.
+    """
+    return Session(
+        EngineConfig.from_env().replace(
+            hom_cache=False,
+            worker_cache_size=0,
+            workers=SHARD_WORKERS,
+            parallel_min=8,
+        )
+    )
+
+
+def bench_backend_duel(session: Session, rounds: int) -> dict:
     checks = {}
     gated_speedups = []
     info_speedups = []
@@ -157,7 +164,8 @@ def bench_backend_duel(rounds: int) -> dict:
                 for backend in ("bitset", "matrix"):
                     times[backend] = best_time(
                         lambda b=backend: has_homomorphism(
-                            q, target, backend=b, use_cache=False
+                            q, target, backend=b, use_cache=False,
+                            session=session,
                         ),
                         rounds,
                     )
@@ -183,7 +191,7 @@ def bench_backend_duel(rounds: int) -> dict:
     }
 
 
-def bench_sharding(rounds: int) -> dict:
+def bench_sharding(session: Session, rounds: int) -> dict:
     # The bulk-classification shape: a pool of queries screened over
     # one family of large random instances.  Sharding by instances and
     # answering every query per chunk amortises the per-instance
@@ -207,52 +215,51 @@ def bench_sharding(rounds: int) -> dict:
         path_structure([""] * 11, prefix=f"s{i}") for i in range(96)
     ]
 
+    def serial_batch(q, instances):
+        return evaluate_batch(q, instances, session=session)
+
     serial_screen = best_time(
-        lambda: [evaluate_batch(q, family) for q in screen_queries], rounds
+        lambda: [serial_batch(q, family) for q in screen_queries], rounds
     )
     serial_eval = best_time(
-        lambda: evaluate_batch(single_query, family), rounds
+        lambda: serial_batch(single_query, family), rounds
     )
-    serial_covers = best_time(lambda: covers_any(target, sources), rounds)
+    serial_covers = best_time(
+        lambda: covers_any(target, sources, session=session), rounds
+    )
 
-    configure_pool(workers=SHARD_WORKERS, min_batch=8)
+    sharded = dict(workers=SHARD_WORKERS, session=session)
     # Warm the pool (fork + import cost is a one-time amortised spawn,
     # not per-batch latency) and verify agreement while at it.
-    agreement = parallel_screen(
-        screen_queries, family, workers=SHARD_WORKERS
-    ) == [evaluate_batch(q, family) for q in screen_queries]
+    agreement = parallel_screen(screen_queries, family, **sharded) == [
+        serial_batch(q, family) for q in screen_queries
+    ]
     agreement = agreement and parallel_evaluate_batch(
-        single_query, family, workers=SHARD_WORKERS
-    ) == evaluate_batch(single_query, family)
-    pool_ok = pool_info().running and not pool_info().broken
+        single_query, family, **sharded
+    ) == serial_batch(single_query, family)
+    info = session.pool_info()
+    pool_ok = info.running and not info.broken
     sharded_screen = best_time(
-        lambda: parallel_screen(
-            screen_queries, family, workers=SHARD_WORKERS
-        ),
-        rounds,
+        lambda: parallel_screen(screen_queries, family, **sharded), rounds
     )
     sharded_eval = best_time(
-        lambda: parallel_evaluate_batch(
-            single_query, family, workers=SHARD_WORKERS
-        ),
+        lambda: parallel_evaluate_batch(single_query, family, **sharded),
         rounds,
     )
     sharded_covers = best_time(
-        lambda: parallel_covers_any(target, sources, workers=SHARD_WORKERS),
-        rounds,
+        lambda: parallel_covers_any(target, sources, **sharded), rounds
     )
 
     # Small-batch fallback: below min_batch the parallel entry points
     # must route straight to the serial path.
     small = family[:6]
-    serial_small = best_time(
-        lambda: evaluate_batch(single_query, small), rounds
-    )
+    serial_small = best_time(lambda: serial_batch(single_query, small), rounds)
     fallback_small = best_time(
-        lambda: parallel_evaluate_batch(single_query, small, min_batch=24),
+        lambda: parallel_evaluate_batch(
+            single_query, small, min_batch=24, session=session
+        ),
         rounds,
     )
-    shutdown_pool()
 
     screen_speedup = serial_screen / sharded_screen
     eval_speedup = serial_eval / sharded_eval
@@ -335,8 +342,9 @@ def main() -> int:
     cpus = os.cpu_count() or 1
     matrix_ok = matrix_backend_available()
 
-    duel = bench_backend_duel(args.rounds)
-    shard = bench_sharding(args.rounds)
+    with bench_session() as session:
+        duel = bench_backend_duel(session, args.rounds)
+        shard = bench_sharding(session, args.rounds)
 
     criteria = {
         "matrix_geomean_speedup_ge_2x": {

@@ -26,8 +26,8 @@ pool)::
     with Session(EngineConfig(backend="auto", workers=8)) as s:
         print(s.certain_answer(zoo.q2(), zoo.d2()))
 
-The free functions above remain supported shims over the default
-session (configured from the ``REPRO_*`` environment on first use).
+Free functions called without ``session=`` run in the default session
+(configured from the ``REPRO_*`` environment on first use).
 
 Subpackages (imported on demand): :mod:`repro.core` (structures,
 datalog, cactuses, boundedness), :mod:`repro.ditree` (Section 4
@@ -73,7 +73,6 @@ from .core import (
     evaluate_batch,
     find_homomorphism,
     full_cactus,
-    get_default_backend,
     has_homomorphism,
     initial_cactus,
     is_one_cq,
@@ -84,7 +83,6 @@ from .core import (
     registered_semirings,
     resolve_semiring,
     semiring_evaluate,
-    set_default_backend,
     ucq_certain_answers,
     ucq_rewriting,
 )
@@ -136,7 +134,6 @@ __all__ = [
     "evaluate_batch",
     "find_homomorphism",
     "full_cactus",
-    "get_default_backend",
     "has_homomorphism",
     "initial_cactus",
     "is_one_cq",
@@ -148,7 +145,6 @@ __all__ = [
     "reset_default_session",
     "resolve_semiring",
     "semiring_evaluate",
-    "set_default_backend",
     "set_default_session",
     "ucq_certain_answers",
     "ucq_rewriting",

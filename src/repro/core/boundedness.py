@@ -48,8 +48,7 @@ from .cactus import Cactus, iter_cactuses
 from .cq import OneCQ
 from .decomp import ProbeCoverage, query_width
 from .errors import Answer, ResourceExhausted, governed_scope
-from .homengine import evaluate_batch, evaluate_batch_governed
-from .homomorphism import covers_any
+from .homengine import covers_any, evaluate_batch, evaluate_batch_governed
 from .runtime import parallel_covers_any, parallel_ucq_answers
 from .structure import A, Node, Structure, T
 

@@ -51,7 +51,7 @@ from typing import Iterator, Mapping
 from .config import EngineConfig
 from .cq import OneCQ
 from .errors import CactusBudgetExceeded, call_budget
-from .homomorphism import covers_any, find_homomorphism
+from .homengine import covers_any, find_homomorphism
 from .structure import (
     A,
     BinaryFact,
@@ -451,12 +451,6 @@ def _state(session) -> CactusState:
     return default_session().cactus
 
 
-def clear_structure_intern(session=None) -> None:
-    """Drop the (default) session's interned cactus structures
-    (benchmarks call this to measure genuinely cold construction)."""
-    _state(session).clear_intern()
-
-
 class CactusFactory:
     """Incremental, pooled cactus construction for one 1-CQ.
 
@@ -713,12 +707,6 @@ def cactus_factory(one_cq: OneCQ, session=None) -> CactusFactory:
     ``one_cq`` (LRU, bounded by ``EngineConfig.factory_pool_size``,
     default 32 queries)."""
     return _state(session).factory(one_cq)
-
-
-def clear_cactus_caches(session=None) -> None:
-    """Drop the (default) session's pooled factories (and with them all
-    cached cactuses) and its structure intern table."""
-    _state(session).clear()
 
 
 def build_cactus(one_cq: OneCQ, shape: Shape, session=None) -> Cactus:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .homomorphism import iter_homomorphisms
+from .homengine import iter_homomorphisms
 from .structure import BinaryFact, Node, Structure, UnaryFact
 
 GOAL = "G"

@@ -19,8 +19,7 @@ Three evaluation strategies are provided:
   until one embeds (the datalog-free evaluation path).
 
 ``evaluate_dsirup`` picks the fastest sound strategy automatically
-(``evaluate`` is its deprecated former name — ``Session.evaluate`` now
-names the semiring evaluation surface).
+(``Session.evaluate`` is the separate semiring evaluation surface).
 
 The variant ``Δ⁺_q`` adds the disjointness constraint
 ``⊥ <- T(x), F(x)``; under it, data instances containing an FT-twin node
@@ -30,7 +29,6 @@ are inconsistent and every query is trivially entailed.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -38,7 +36,7 @@ from .cactus import count_shapes, goal_certain_via_cactuses
 from .cq import OneCQ, is_one_cq
 from .datalog import GOAL, goal_holds
 from .errors import governed_scope
-from .homomorphism import has_homomorphism
+from .homengine import has_homomorphism
 from .sirup import compile_programs
 from .structure import A, F, Node, Structure, T, UnaryFact
 
@@ -183,7 +181,7 @@ def evaluate_via_cactuses(
     enumeration; for instances with many A-nodes and span >= 2 the
     enumeration explodes, and rather than hang the call refuses
     up front (use :func:`evaluate_branching` or :func:`evaluate_via_pi`
-    there — ``evaluate(strategy="auto")`` never routes here).
+    there — ``evaluate_dsirup(strategy="auto")`` never routes here).
     """
     if not is_one_cq(q):
         raise ValueError("𝔎_q is only defined for 1-CQs")
@@ -232,27 +230,6 @@ def evaluate_dsirup(
         if is_one_cq(q):
             return evaluate_via_pi(q, data, session)
         return evaluate_branching(q, data, session)
-
-
-def evaluate(
-    q: Structure, data: Structure, strategy: str = "auto", session=None
-) -> DSirupAnswer:
-    """Deprecated spelling of :func:`evaluate_dsirup`.
-
-    .. deprecated::
-        ``evaluate`` now names the semiring surface
-        (``Session.evaluate(q, data, semiring=...)``); the d-sirup
-        certain-answer procedure is ``Session.evaluate_dsirup`` /
-        :func:`evaluate_dsirup`.
-    """
-    warnings.warn(
-        "dsirup.evaluate() is deprecated; use Session.evaluate_dsirup"
-        "(q, data, strategy) — Session.evaluate(q, data, semiring=...) "
-        "is now the semiring evaluation surface",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return evaluate_dsirup(q, data, strategy, session)
 
 
 def certain_answer(q: Structure, data: Structure, session=None) -> bool:

@@ -43,16 +43,17 @@ into swappable *backends* behind one call surface:
     target batches.  Forest-shaped queries (width <= 1 — paths, trees,
     cactuses) run a single directional bitset semijoin pass; wider
     queries run the general per-bag relational DP.  Pure python, no
-    optional dependency, and ``count_homomorphisms`` uses bag-product
+    optional dependency, and it counts homomorphisms by bag-product
     counting instead of enumeration.
 
 All backends enumerate exactly the same set of homomorphisms.  The
-default backend, the hom-cache and all other mutable engine state live
-on a :class:`HomEngine` owned by a :class:`~repro.session.Session`;
-every entry point takes an explicit ``session=`` (falling back to the
-module-level default session, which is configured from the ``REPRO_*``
-environment via :meth:`repro.core.config.EngineConfig.from_env`) plus a
-per-call ``backend=`` override.  ``backend="auto"`` — per call or as
+default backend and the hom-cache live on a :class:`HomEngine` owned by
+a :class:`~repro.session.Session` and fixed by its frozen
+:class:`~repro.core.config.EngineConfig`; every entry point takes an
+explicit ``session=`` (falling back to the module-level default
+session, which is configured from the ``REPRO_*`` environment via
+:meth:`repro.core.config.EngineConfig.from_env`) plus a per-call
+``backend=`` override.  ``backend="auto"`` — per call or as
 the session default — resolves per call from the *query's* cached
 decomposition width (tree-shaped queries route to ``decomp``) and the
 target's size and edge density (``matrix`` vs ``bitset``);
@@ -68,15 +69,22 @@ LRU-cached keyed on the *content fingerprints* of source and target
 seed/restriction/forbid/domain arguments, so repeated checks across
 equal structures — ubiquitous in the Proposition 2 probe's depth loop
 and the Appendix F cuttability fixpoint — are answered once.
-:func:`count_homomorphisms` answers (enumeration sizes) share the same
-LRU under a distinct key tag, and a counting pass also seeds the
-find/has entry for the same arguments with its first witness.  Calls
-with a ``node_filter`` callable are never cached (the callable is
+Hom counts (``Session.count_homomorphisms``, the COUNT semiring) share
+the same LRU under a distinct key tag, and a counting pass also seeds
+the find/has entry for the same arguments with its first witness.
+Calls with a ``node_filter`` callable are never cached (the callable is
 opaque); prefer the declarative ``node_domains`` / ``forbid``
 arguments, which are cacheable and usually faster.  The cache is
-per-session: disable or resize it via ``EngineConfig`` /
-:func:`configure_cache` (or ``REPRO_HOM_CACHE=0`` for the default
+per-session: disable or resize it with
+``EngineConfig(hom_cache=..., hom_cache_size=...)`` (or
+``REPRO_HOM_CACHE`` / ``REPRO_HOM_CACHE_SIZE`` for the default
 session).
+
+Verification
+============
+
+:func:`is_homomorphism` checks a given map and :func:`is_core` decides
+the minimality condition of Section 4; tests use both as oracles.
 
 Batch APIs
 ==========
@@ -89,7 +97,6 @@ lazily-built indexes and the cache across the whole batch.
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -152,10 +159,10 @@ _MISS = object()
 class HomEngine:
     """The mutable hom-search state of one session.
 
-    Owns the session's default backend choice and its LRU hom-cache.
-    Two sessions never share an instance, so differently-configured
-    engines can answer queries side by side in one process without
-    contaminating each other's caches or defaults.
+    Owns the session's default backend choice and its LRU hom-cache,
+    both fixed by the session's config.  Two sessions never share an
+    instance, so differently-configured engines can answer queries side
+    by side in one process without contaminating each other's caches.
     """
 
     def __init__(self, config: EngineConfig) -> None:
@@ -212,28 +219,7 @@ class HomEngine:
             )
         return backend
 
-    def set_default_backend(self, backend: str) -> str:
-        """Set this engine's default backend; returns the previous one."""
-        if backend not in BACKEND_CHOICES:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected {BACKEND_CHOICES}"
-            )
-        previous = self.default_backend
-        self.default_backend = backend
-        return previous
-
     # -- cache ----------------------------------------------------------
-
-    def configure_cache(
-        self, enabled: bool | None = None, maxsize: int | None = None
-    ) -> None:
-        """Enable/disable the hom-cache or change its capacity."""
-        if enabled is not None:
-            self.cache_enabled = enabled
-        if maxsize is not None:
-            self.cache_maxsize = maxsize
-            while len(self._cache) > self.cache_maxsize:
-                self._cache.popitem(last=False)
 
     def clear_cache(self) -> None:
         """Drop all *in-memory* cached answers and reset the counters.
@@ -290,39 +276,6 @@ def _engine(session) -> HomEngine:
     from ..session import default_session
 
     return default_session().hom
-
-
-# ----------------------------------------------------------------------
-# Default-session shims (the pre-Session free-function surface)
-# ----------------------------------------------------------------------
-
-
-def get_default_backend() -> str:
-    """The default session's backend (used when a call passes neither
-    ``backend=`` nor ``session=``)."""
-    return _engine(None).default_backend
-
-
-def set_default_backend(backend: str) -> str:
-    """Set the default session's backend; returns the previous one."""
-    return _engine(None).set_default_backend(backend)
-
-
-def configure_cache(
-    enabled: bool | None = None, maxsize: int | None = None
-) -> None:
-    """Enable/disable the default session's hom-cache or resize it."""
-    _engine(None).configure_cache(enabled=enabled, maxsize=maxsize)
-
-
-def clear_hom_cache() -> None:
-    """Drop the default session's cached answers and reset counters."""
-    _engine(None).clear_cache()
-
-
-def hom_cache_info() -> CacheInfo:
-    """Hit/miss counters and occupancy of the default session's cache."""
-    return _engine(None).cache_info()
 
 
 def _freeze_nodes(nodes: Iterable[Node] | None) -> tuple | None:
@@ -1243,49 +1196,6 @@ def _count_homomorphisms(
     return count
 
 
-def count_homomorphisms(
-    source: Structure,
-    target: Structure,
-    seed: Seed | None = None,
-    restrict_image: frozenset[Node] | None = None,
-    node_filter: Callable[[Node, Node], bool] | None = None,
-    *,
-    node_domains: NodeDomains | None = None,
-    forbid: frozenset[Node] | None = None,
-    backend: str | None = None,
-    use_cache: bool | None = None,
-    session=None,
-    budget: Budget | None = None,
-) -> int:
-    """Deprecated free-function spelling of homomorphism counting.
-
-    .. deprecated::
-        Use ``Session.count_homomorphisms(...)`` (the thin COUNT
-        wrapper) or ``Session.evaluate(q, data, semiring="count")`` —
-        counting is now the COUNT instance of the semiring surface.
-    """
-    warnings.warn(
-        "count_homomorphisms() is deprecated; use "
-        "Session.count_homomorphisms(...) or "
-        "Session.evaluate(q, data, semiring='count')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _count_homomorphisms(
-        source,
-        target,
-        seed,
-        restrict_image,
-        node_filter,
-        node_domains=node_domains,
-        forbid=forbid,
-        backend=backend,
-        use_cache=use_cache,
-        session=session,
-        budget=budget,
-    )
-
-
 # ----------------------------------------------------------------------
 # Semiring-generic evaluation
 # ----------------------------------------------------------------------
@@ -1610,6 +1520,69 @@ def has_homomorphism(
         )
         is not None
     )
+
+
+# ----------------------------------------------------------------------
+# Verification
+# ----------------------------------------------------------------------
+
+
+def is_homomorphism(
+    source: Structure, target: Structure, mapping: Mapping[Node, Node]
+) -> bool:
+    """Verify that ``mapping`` is a homomorphism (total on source nodes)."""
+    for node in source.nodes:
+        if node not in mapping:
+            return False
+        if mapping[node] not in target.nodes:
+            return False
+        if not source.labels(node) <= target.labels(mapping[node]):
+            return False
+    for fact in source.binary_facts:
+        src, dst = mapping[fact.src], mapping[fact.dst]
+        if dst not in target.out_by_pred(src).get(fact.pred, frozenset()):
+            return False
+    return True
+
+
+def is_core(structure: Structure) -> bool:
+    """True iff every endomorphism of ``structure`` is surjective.
+
+    Equivalently, there is no homomorphism into a proper substructure.
+    Used for the minimality condition on CQs in Section 4 of the paper.
+
+    A node ``n`` can only be dropped by a retraction if some *other* node
+    dominates its label and incident-predicate profile (the image of
+    ``n`` must carry all of ``n``'s labels and partake in all of its edge
+    predicates), so nodes with a unique profile are skipped without a
+    search.  The remaining checks run against ``structure`` itself with
+    ``n``'s image forbidden, sharing one set of target indexes across
+    all candidate nodes instead of rebuilding a substructure per node.
+    """
+    nodes = structure.nodes
+    profiles = {
+        node: (
+            structure.labels(node),
+            structure.out_pred_set(node),
+            structure.in_pred_set(node),
+        )
+        for node in nodes
+    }
+    for node in nodes:
+        labels, out_preds, in_preds = profiles[node]
+        if not any(
+            other != node
+            and labels <= profiles[other][0]
+            and out_preds <= profiles[other][1]
+            and in_preds <= profiles[other][2]
+            for other in nodes
+        ):
+            continue  # unique profile: no endomorphism can drop this node
+        # A hom into structure \ {node} is exactly a self-hom whose image
+        # avoids node (the induced substructure carries the same facts).
+        if has_homomorphism(structure, structure, forbid=frozenset({node})):
+            return False
+    return True
 
 
 # ----------------------------------------------------------------------

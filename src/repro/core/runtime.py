@@ -32,10 +32,10 @@ Pool
 Each :class:`~repro.session.Session` owns one :class:`PoolRuntime`: a
 lazily-created :class:`~concurrent.futures.ProcessPoolExecutor` bounded
 by the session's worker count (``EngineConfig.workers``; default the
-machine's CPU count, ``<= 1`` after resolution disables parallelism).
-:func:`configure_pool` changes the worker count or the ``min_batch``
-threshold of the *default* session at runtime; :func:`shutdown_pool`
-releases its workers.  Pool creation failure (sandboxes without process
+machine's CPU count, ``<= 1`` after resolution disables parallelism)
+and the ``min_batch`` threshold (``EngineConfig.parallel_min``), both
+fixed for the session's lifetime; ``Session.close`` releases the
+workers.  Pool creation failure (sandboxes without process
 support) permanently degrades that runtime to the serial path — never
 an error.
 
@@ -117,7 +117,6 @@ __all__ = [
     "PoolInfo",
     "PoolRuntime",
     "ScreenShard",
-    "configure_pool",
     "from_wire",
     "from_wire_cached",
     "parallel_covers_any",
@@ -126,8 +125,6 @@ __all__ = [
     "parallel_screen_stream",
     "parallel_semiring_batch",
     "parallel_ucq_answers",
-    "pool_info",
-    "shutdown_pool",
     "to_wire",
 ]
 
@@ -550,7 +547,7 @@ class PoolRuntime:
         self._pool: ProcessPoolExecutor | None = None
         self._pool_size = 0  # max_workers the live pool was created with
         self._quarantined_until: float | None = None
-        self._failures = 0  # consecutive failures since last configure
+        self._failures = 0  # consecutive failures since last success
         _LIVE_RUNTIMES.add(self)
 
     def _quarantined(self) -> bool:
@@ -568,28 +565,6 @@ class PoolRuntime:
             self._failures,
             self.last_fallback,
         )
-
-    def configure(
-        self, workers: int | None = None, min_batch: int | None = None
-    ) -> None:
-        """Change the worker count and/or the serial-fallback threshold.
-
-        ``workers <= 1`` disables parallelism.  An existing pool is shut
-        down when the worker count changes (the next large batch
-        respawns one); a previously failed spawn or an active
-        quarantine is cleared by reconfiguration.
-        """
-        if workers is not None and workers != self.workers:
-            self.shutdown()
-            self.workers = workers
-        if min_batch is not None:
-            self.min_batch = min_batch
-        # Any reconfiguration retries a previously failed spawn or a
-        # quarantined pool — the operator asking for a
-        # (re)configuration is the signal to try again now.
-        self._quarantined_until = None
-        self._failures = 0
-        self.last_fallback = None
 
     def shutdown(self) -> None:
         """Stop the worker processes (they respawn lazily when needed).
@@ -610,7 +585,7 @@ class PoolRuntime:
         Always sized by the *configured* worker count: a per-call
         ``workers=`` override gates the serial/parallel decision and
         caps the chunk fan-out, but never creates or resizes the pool
-        (call :meth:`configure` for that).
+        (size it with ``EngineConfig.workers``).
         """
         if self.workers <= 1:
             return None
@@ -795,29 +770,6 @@ def _worker_opts(
     )
 
 
-# ----------------------------------------------------------------------
-# Default-session shims (the pre-Session free-function surface)
-# ----------------------------------------------------------------------
-
-
-def pool_info(session=None) -> PoolInfo:
-    return _runtime(session).info()
-
-
-def configure_pool(
-    workers: int | None = None,
-    min_batch: int | None = None,
-    session=None,
-) -> None:
-    """Reconfigure the (default) session's shard executor."""
-    _runtime(session).configure(workers=workers, min_batch=min_batch)
-
-
-def shutdown_pool(session=None) -> None:
-    """Stop the (default) session's worker processes."""
-    _runtime(session).shutdown()
-
-
 def _chunk(items: Sequence, parts: int) -> list[list]:
     """Split ``items`` into at most ``parts`` contiguous, near-equal runs."""
     parts = max(1, min(parts, len(items)))
@@ -921,7 +873,7 @@ def parallel_evaluate_batch(
     wire format; result order matches the input order.  A per-call
     ``workers=`` override gates the serial/parallel decision and caps
     this call's chunk fan-out; the pool itself is sized by the session
-    config (:func:`configure_pool` on the default session).
+    config (``EngineConfig.workers``).
     """
     rt = _runtime(session)
     wire_backend, wire_cache, wire_config = _worker_opts(session, backend)

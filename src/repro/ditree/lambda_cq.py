@@ -43,7 +43,7 @@ from typing import Iterator, Mapping
 
 from ..core.cactus import cactus_factory
 from ..core.cq import OneCQ
-from ..core.homomorphism import find_homomorphism, has_homomorphism
+from ..core.homengine import find_homomorphism, has_homomorphism
 from ..core.structure import Node, Structure, UnaryFact
 from .structure import DitreeCQ
 

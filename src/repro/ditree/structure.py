@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.cq import solitary_f_nodes, solitary_t_nodes, twin_nodes
-from ..core.homomorphism import has_homomorphism, iter_homomorphisms
+from ..core.homengine import has_homomorphism, iter_homomorphisms
 from ..core.structure import F, Node, Structure, T
 
 

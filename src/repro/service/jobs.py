@@ -73,16 +73,18 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
-from ..core.config import EngineConfig
+from ..core.config import BACKEND_CHOICES, EngineConfig
 from ..core.cq import OneCQ
 from ..core.errors import (
     Budget,
     EngineError,
     JobCancelled,
     StoreCorruption,
+    UnknownSemiring,
     WorkerFailure,
 )
 from ..core.runtime import ScreenShard
+from ..core.semiring import resolve_semiring
 from ..core.store import JOB_NS, DurableStore
 from . import wire
 from .registry import SessionRegistry
@@ -146,7 +148,8 @@ def validate_payload(kind: str, payload: dict) -> None:
 
     Structures are shape-checked (:func:`wire.check_structure_json`),
     not decoded — the full index build happens exactly once, inside
-    :meth:`JobManager._execute` on the worker thread.
+    :meth:`JobManager._execute` on the worker thread.  The ``backend``
+    and ``semiring`` names are resolved here too.
     """
     if kind not in JOB_KINDS:
         raise wire.WireError(
@@ -154,6 +157,11 @@ def validate_payload(kind: str, payload: dict) -> None:
         )
     if not isinstance(payload, dict):
         raise wire.WireError("job payload must be a JSON object")
+    backend = payload.get("backend")
+    if backend is not None and backend not in BACKEND_CHOICES:
+        raise wire.WireError(
+            f"unknown backend {backend!r}; expected one of {BACKEND_CHOICES}"
+        )
     if kind == "screen":
         queries = payload.get("queries")
         instances = payload.get("instances")
@@ -173,6 +181,13 @@ def validate_payload(kind: str, payload: dict) -> None:
         if data is None:
             raise wire.WireError("evaluate payload needs 'data'")
         wire.check_structure_json(data)
+        semiring = payload.get("semiring", "bool")
+        if not isinstance(semiring, str):
+            raise wire.WireError("evaluate 'semiring' must be a name")
+        try:
+            resolve_semiring(semiring)
+        except UnknownSemiring as exc:
+            raise wire.WireError(str(exc)) from None
 
 
 class Job:

@@ -2,16 +2,17 @@
 context for the whole engine.
 
 A session owns a frozen :class:`~repro.core.config.EngineConfig` and
-*all* mutable engine state that used to live in module globals: the hom
-backend choice and LRU hom-cache
+*all* mutable engine state: the hom backend choice and LRU hom-cache
 (:class:`~repro.core.homengine.HomEngine`), the cactus factory pool and
 cross-factory structure intern
 (:class:`~repro.core.cactus.CactusState`), and the shard executor with
 its parallel thresholds (:class:`~repro.core.runtime.PoolRuntime`).
-Two sessions never share state, so two differently-configured
-evaluations — say ``backend="naive"`` against ``backend="bitset"``,
-or a big pool against a serial run — can live side by side in one
-process::
+The config fixes every engine setting for the session's lifetime, so
+``session.config`` always describes what runs; to change a setting,
+build another session.  Two sessions never share state, so two
+differently-configured evaluations — say ``backend="naive"`` against
+``backend="bitset"``, or a big pool against a serial run — can live
+side by side in one process::
 
     from repro import EngineConfig, Session
 
@@ -25,18 +26,19 @@ the default session), an explicit config overrides it, and per-call
 keywords (``backend=``, ``workers=`` ...) override the config for one
 call.
 
-The module-level :func:`default_session` preserves the pre-Session
-behaviour: it is created lazily from the environment on first use, and
-every free function in the package (``certain_answer``, ``decide``,
-``ucq_certain_answers``, ``screen_zoo``, ``find_homomorphism``, the
-``configure_*`` knobs ...) is a thin shim over it.  Code that never
-constructs a session keeps working unchanged.
+The module-level :func:`default_session` is created lazily from the
+environment on first use, and every engine entry point that takes
+``session=None`` (``certain_answer``, ``decide``,
+``ucq_certain_answers``, ``screen_zoo``, ``find_homomorphism`` ...)
+runs in it.  :func:`set_default_session` installs another one;
+inspect or release it through its methods
+(:meth:`Session.hom_cache_info`, :meth:`Session.pool_info`,
+:meth:`Session.clear_caches`, :meth:`Session.close`).
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 from typing import Iterable, Sequence
 
 from .core import boundedness as _boundedness
@@ -337,7 +339,6 @@ class Session:
         seed=None,
         restrict_image=None,
         use_cache: bool | None = None,
-        strategy: str | None = None,
     ) -> "_semiring.Evaluation":
         """Evaluate the CQ ``q`` over ``data`` under a commutative
         semiring — the unified evaluation surface.
@@ -355,28 +356,9 @@ class Session:
         budget never raises — the returned ``Evaluation`` has
         ``value=None`` and ``reason`` set (so ``.answer`` is
         UNKNOWN(reason)); ungoverned sessions always return a settled
-        value.
-
-        .. deprecated::
-            ``Session.evaluate(q, data, strategy)`` (the d-sirup
-            certain-answer procedure) moved to
-            :meth:`evaluate_dsirup`; passing a d-sirup strategy name or
-            a ``strategy=`` keyword here warns and delegates.
+        value.  The d-sirup certain-answer procedure is
+        :meth:`evaluate_dsirup`; a strategy name is not a semiring.
         """
-        if strategy is not None or (
-            isinstance(semiring, str)
-            and semiring in _dsirup.DSIRUP_STRATEGIES
-        ):
-            warnings.warn(
-                "Session.evaluate(q, data, strategy) is deprecated; "
-                "use Session.evaluate_dsirup(q, data, strategy) — "
-                "evaluate() now takes a semiring",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return self.evaluate_dsirup(
-                q, data, strategy if strategy is not None else semiring
-            )
         sr = _semiring.resolve_semiring(semiring)
         try:
             with _errors.governed_scope(self):
@@ -403,8 +385,7 @@ class Session:
         self, q: Structure, data: Structure, strategy: str = "auto"
     ):
         """Full d-sirup certain-answer evaluation with countermodel
-        bookkeeping (:func:`repro.core.dsirup.evaluate_dsirup`) — the
-        renamed former ``Session.evaluate``.
+        bookkeeping (:func:`repro.core.dsirup.evaluate_dsirup`).
 
         An *inner* structured surface: a governed budget that trips
         raises :class:`~repro.core.errors.ResourceExhausted`; use

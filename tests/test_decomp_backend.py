@@ -31,9 +31,9 @@ from repro.core.homengine import (
     evaluate_batch,
     find_homomorphism,
     has_homomorphism,
+    is_homomorphism,
     iter_homomorphisms,
 )
-from repro.core.homomorphism import is_homomorphism
 from repro.core.structure import (
     F,
     Structure,

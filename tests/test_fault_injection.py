@@ -423,18 +423,6 @@ class TestDegradationPaths:
         finally:
             rt.shutdown()
 
-    def test_configure_clears_quarantine(self):
-        rt = runtime.PoolRuntime(
-            EngineConfig(workers=2, pool_cooldown_ms=60_000)
-        )
-        rt.mark_failed("a")
-        rt.mark_failed("b")
-        assert rt.info().broken
-        rt.configure(workers=2)
-        info = rt.info()
-        assert not info.broken and info.failures == 0
-        assert info.last_fallback is None
-
     def test_wire_cache_lru_eviction(self):
         wires = [
             to_wire(random_instance(4, 6, seed)) for seed in range(3)

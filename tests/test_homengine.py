@@ -9,21 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import homengine
+from repro import EngineConfig, Session
 from repro.core.homengine import (
     BACKENDS,
-    clear_hom_cache,
     _count_homomorphisms,
     covers_any,
     evaluate_batch,
     find_homomorphism,
-    get_default_backend,
     has_homomorphism,
-    hom_cache_info,
+    is_core,
+    is_homomorphism,
     iter_homomorphisms,
-    set_default_backend,
 )
-from repro.core.homomorphism import is_core, is_homomorphism
 from repro.core.structure import (
     BinaryFact,
     Structure,
@@ -31,6 +28,7 @@ from repro.core.structure import (
     UnaryFact,
     path_structure,
 )
+from repro.session import default_session, set_default_session
 from repro.workloads.generators import random_ditree_cq, random_instance
 
 
@@ -48,19 +46,21 @@ def canon(homs):
 
 class TestBackendSwitch:
     def test_default_backend_is_valid(self):
-        assert get_default_backend() in BACKENDS
+        assert default_session().hom.default_backend in BACKENDS
 
     def test_set_and_restore(self):
-        previous = set_default_backend("naive")
+        before = default_session()
+        previous = set_default_session(Session(EngineConfig(backend="naive")))
         try:
-            assert get_default_backend() == "naive"
+            assert default_session().hom.default_backend == "naive"
         finally:
-            set_default_backend(previous)
-        assert get_default_backend() == previous
+            default_session().close()
+            set_default_session(previous)
+        assert default_session() is before
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
-            set_default_backend("simd")
+            EngineConfig(backend="simd")
         q = path_structure(["T"])
         with pytest.raises(ValueError):
             list(iter_homomorphisms(q, q, backend="simd"))
@@ -261,22 +261,23 @@ class TestFingerprint:
 
 @pytest.fixture
 def fresh_cache():
-    info = hom_cache_info()
-    clear_hom_cache()
-    homengine.configure_cache(enabled=True)
-    yield
-    clear_hom_cache()
-    homengine.configure_cache(enabled=info.enabled, maxsize=info.maxsize)
+    """A cache-enabled default session, restored afterwards: the free
+    entry points below run in it."""
+    session = Session(EngineConfig(hom_cache=True))
+    previous = set_default_session(session)
+    yield session
+    session.close()
+    set_default_session(previous)
 
 
 class TestHomCache:
     def test_second_lookup_hits(self, fresh_cache):
         q = path_structure(["T", ""])
         d = path_structure(["T", "", ""])
-        before = hom_cache_info()
+        before = fresh_cache.hom_cache_info()
         assert find_homomorphism(q, d) is not None
         assert find_homomorphism(q, d) is not None
-        after = hom_cache_info()
+        after = fresh_cache.hom_cache_info()
         assert after.hits >= before.hits + 1
 
     def test_hits_across_equal_instances(self, fresh_cache):
@@ -285,9 +286,9 @@ class TestHomCache:
         d2 = path_structure(["T", "", ""])  # distinct but equal instance
         assert d1 is not d2 and d1.fingerprint == d2.fingerprint
         find_homomorphism(q, d1)
-        hits_before = hom_cache_info().hits
+        hits_before = fresh_cache.hom_cache_info().hits
         find_homomorphism(q, d2)
-        assert hom_cache_info().hits == hits_before + 1
+        assert fresh_cache.hom_cache_info().hits == hits_before + 1
 
     def test_distinct_seeds_not_conflated(self, fresh_cache):
         q = path_structure(["", ""], prefix="q")
@@ -301,9 +302,9 @@ class TestHomCache:
     def test_node_filter_bypasses_cache(self, fresh_cache):
         q = path_structure([""], prefix="q")
         d = path_structure(["", ""], prefix="d")
-        info_before = hom_cache_info()
+        info_before = fresh_cache.hom_cache_info()
         find_homomorphism(q, d, node_filter=lambda x, v: v == "d1")
-        info_after = hom_cache_info()
+        info_after = fresh_cache.hom_cache_info()
         assert info_after.size == info_before.size
         # and the filtered answer was not polluted by a cached unfiltered one
         hom = find_homomorphism(q, d, node_filter=lambda x, v: v == "d1")
@@ -313,9 +314,9 @@ class TestHomCache:
         q = path_structure(["T"])
         d = path_structure(["F"])
         assert not has_homomorphism(q, d)
-        hits_before = hom_cache_info().hits
+        hits_before = fresh_cache.hom_cache_info().hits
         assert not has_homomorphism(q, d)
-        assert hom_cache_info().hits == hits_before + 1
+        assert fresh_cache.hom_cache_info().hits == hits_before + 1
 
     def test_backend_override_not_served_cross_backend(self, fresh_cache):
         # A cached bitset answer must not satisfy an explicit naive
@@ -323,30 +324,30 @@ class TestHomCache:
         q = path_structure(["T", ""])
         d = path_structure(["T", "", ""])
         assert has_homomorphism(q, d, backend="bitset")
-        hits_before = hom_cache_info().hits
+        hits_before = fresh_cache.hom_cache_info().hits
         assert has_homomorphism(q, d, backend="naive")
-        info = hom_cache_info()
+        info = fresh_cache.hom_cache_info()
         assert info.hits == hits_before  # miss: separate key per backend
         assert info.size >= 2
 
-    def test_cache_disabled(self, fresh_cache):
-        homengine.configure_cache(enabled=False)
+    def test_cache_disabled(self):
         q = path_structure(["T"])
         d = path_structure(["T"])
-        has_homomorphism(q, d)
-        has_homomorphism(q, d)
-        assert hom_cache_info().size == 0
+        with Session(EngineConfig(hom_cache=False)) as s:
+            s.has_homomorphism(q, d)
+            s.has_homomorphism(q, d)
+            assert s.hom_cache_info().size == 0
 
-    def test_lru_eviction(self, fresh_cache):
-        homengine.configure_cache(maxsize=4)
+    def test_lru_eviction(self):
         q = path_structure(["T"])
         targets = [
             random_instance(4, 5, seed=s, label_weights={"T": 1})
             for s in range(10)
         ]
-        for d in targets:
-            has_homomorphism(q, d)
-        assert hom_cache_info().size <= 4
+        with Session(EngineConfig(hom_cache_size=4)) as s:
+            for d in targets:
+                s.has_homomorphism(q, d)
+            assert s.hom_cache_info().size <= 4
 
 
 class TestCountCache:
@@ -367,9 +368,9 @@ class TestCountCache:
         q = path_structure(["T", ""])
         d = path_structure(["T", "", ""])
         first = _count_homomorphisms(q, d)
-        hits_before = hom_cache_info().hits
+        hits_before = fresh_cache.hom_cache_info().hits
         assert _count_homomorphisms(q, d) == first
-        assert hom_cache_info().hits == hits_before + 1
+        assert fresh_cache.hom_cache_info().hits == hits_before + 1
 
     def test_count_seeds_find_cache(self, fresh_cache):
         # Counting enumerates every hom, so the find/has entry for the
@@ -377,17 +378,17 @@ class TestCountCache:
         q = path_structure(["T", ""])
         d = path_structure(["T", "", ""])
         assert _count_homomorphisms(q, d) > 0
-        hits_before = hom_cache_info().hits
+        hits_before = fresh_cache.hom_cache_info().hits
         assert find_homomorphism(q, d) is not None
-        assert hom_cache_info().hits == hits_before + 1
+        assert fresh_cache.hom_cache_info().hits == hits_before + 1
 
     def test_zero_count_seeds_negative_answer(self, fresh_cache):
         q = path_structure(["T"])
         d = path_structure(["F"])
         assert _count_homomorphisms(q, d) == 0
-        hits_before = hom_cache_info().hits
+        hits_before = fresh_cache.hom_cache_info().hits
         assert not has_homomorphism(q, d)
-        assert hom_cache_info().hits == hits_before + 1
+        assert fresh_cache.hom_cache_info().hits == hits_before + 1
 
     def test_count_and_find_not_conflated(self, fresh_cache):
         # A cached witness must not be returned as a count, nor a count
@@ -401,12 +402,12 @@ class TestCountCache:
     def test_count_with_node_filter_bypasses_cache(self, fresh_cache):
         q = path_structure([""], prefix="q")
         d = path_structure(["", ""], prefix="d")
-        size_before = hom_cache_info().size
+        size_before = fresh_cache.hom_cache_info().size
         assert (
             _count_homomorphisms(q, d, node_filter=lambda x, v: v == "d1")
             == 1
         )
-        assert hom_cache_info().size == size_before
+        assert fresh_cache.hom_cache_info().size == size_before
 
     def test_count_per_backend_keys(self, fresh_cache):
         q = path_structure(["T", ""])
@@ -415,7 +416,7 @@ class TestCountCache:
             _count_homomorphisms(q, d, backend="naive")
         )
         # Two backends, two count entries (plus the seeded find entries).
-        assert hom_cache_info().size >= 4
+        assert fresh_cache.hom_cache_info().size >= 4
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from repro.core import (
     iter_homomorphisms,
     path_structure,
 )
-from repro.core.homomorphism import compose, retract_to_subset
 from repro.core.structure import R, S, Structure
 
 
@@ -126,11 +125,6 @@ class TestSeedsAndFilters:
 
 
 class TestUtilities:
-    def test_compose(self):
-        first = {"a": "x"}
-        second = {"x": 1}
-        assert compose(first, second) == {"a": 1}
-
     def test_is_core_path_with_distinct_labels(self):
         q = path_structure(["T", "F"])
         assert is_core(q)
@@ -146,17 +140,25 @@ class TestUtilities:
         assert not is_core(union)
 
     def test_retract_to_subset(self):
+        # A retraction onto p1: a self-map fixing p1 whose image avoids p2.
         p1 = path_structure(["T", "F"], prefix="a")
         p2 = path_structure(["T", "F"], prefix="b")
         union = p1.union(p2)
-        retraction = retract_to_subset(union, frozenset(p1.nodes))
+        retraction = find_homomorphism(
+            union, union, seed={n: n for n in p1.nodes}, forbid=p2.nodes
+        )
         assert retraction is not None
         assert retraction["b0"] == "a0"
         assert retraction["a0"] == "a0"
 
     def test_retract_impossible(self):
         q = path_structure(["T", "F"])
-        assert retract_to_subset(q, frozenset({"v0"})) is None
+        assert (
+            find_homomorphism(
+                q, q, seed={"v0": "v0"}, forbid=q.nodes - {"v0"}
+            )
+            is None
+        )
 
 
 @st.composite
@@ -207,7 +209,7 @@ class TestProperties:
         h1 = find_homomorphism(a, b)
         h2 = find_homomorphism(b, c)
         if h1 is not None and h2 is not None:
-            assert is_homomorphism(a, c, compose(h1, h2))
+            assert is_homomorphism(a, c, {x: h2[y] for x, y in h1.items()})
 
     @given(small_structure())
     @settings(max_examples=40, deadline=None)

@@ -19,10 +19,10 @@ from repro.core.homengine import (
     BACKENDS,
     _count_homomorphisms,
     has_homomorphism,
+    is_homomorphism,
     iter_homomorphisms,
     matrix_backend_available,
 )
-from repro.core.homomorphism import is_homomorphism
 from repro.core.structure import (
     MatrixIndex,
     Structure,

@@ -335,6 +335,14 @@ class TestEvaluateSurface:
         with pytest.raises(UnknownSemiring):
             s.evaluate(zoo.q1(), zoo.d1(), "tropical-typo")
 
+    @pytest.mark.parametrize("strategy", ["exhaustive", "auto"])
+    def test_dsirup_strategy_is_not_a_semiring(self, strategy):
+        # The d-sirup procedure is Session.evaluate_dsirup; a strategy
+        # name passed as a semiring must fail loudly, not resolve.
+        with Session() as s:
+            with pytest.raises(UnknownSemiring):
+                s.evaluate(zoo.q2(), zoo.d2(), strategy)
+
     def test_semiring_cache_tagging(self):
         s = Session()
         q, d = zoo.q1(), zoo.d1()

@@ -396,6 +396,24 @@ class TestServiceHTTP:
                 client._request("GET", "/nope")
             assert exc.value.status == 404
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"semiring": "bogus"},
+            {"backend": "simd"},
+            # A d-sirup strategy name is not a semiring.
+            {"semiring": "auto"},
+        ],
+    )
+    def test_bad_evaluate_payload_is_400(self, tmp_path, extra):
+        payload = {"query": sjson(QUERY), "data": sjson(FAMILY[0]), **extra}
+        with ServiceServer(base_config(cache_dir=str(tmp_path))) as server:
+            client = ServiceClient(server.host, server.port)
+            with pytest.raises(ServiceError) as exc:
+                client.submit("evaluate", payload)
+            assert exc.value.status == 400
+            assert client.metrics()["service"]["total"] == 0
+
     def test_backlog_overflow_is_429(self, tmp_path):
         config = base_config(
             cache_dir=str(tmp_path), service_queue_depth=0

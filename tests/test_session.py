@@ -12,8 +12,8 @@ Covers the acceptance criteria of the session redesign:
 * ``Session.screen(..., stream=True)`` yields completion-ordered shard
   results that jointly reproduce the blocking screen;
 * the worker-side wire cache skips rebuilds for repeated families;
-* the pre-Session free functions remain working shims over the
-  default session.
+* free functions called without ``session=`` run in the default
+  session, which ``set_default_session`` replaces.
 """
 
 from __future__ import annotations
@@ -257,11 +257,11 @@ class TestPrecedence:
         monkeypatch.setenv("REPRO_HOM_BACKEND", "naive")
         reset_default_session()
         try:
-            assert repro.get_default_backend() == "naive"
+            assert default_session().hom.default_backend == "naive"
         finally:
             monkeypatch.delenv("REPRO_HOM_BACKEND")
             reset_default_session()
-        assert repro.get_default_backend() == "bitset"
+        assert default_session().hom.default_backend == "bitset"
 
 
 # ----------------------------------------------------------------------
@@ -472,24 +472,26 @@ class TestWorkerWireCache:
 
 
 # ----------------------------------------------------------------------
-# Free-function shims over the default session
+# Free functions over the default session
 # ----------------------------------------------------------------------
 
 
 class TestDefaultSessionShims:
-    def test_set_default_backend_routes_to_default_session(
-        self, fresh_default
-    ):
-        previous = repro.set_default_backend("naive")
-        assert previous == "bitset"
-        assert default_session().hom.default_backend == "naive"
-        assert repro.get_default_backend() == "naive"
-
-    def test_configure_cache_routes_to_default_session(self, fresh_default):
-        homengine.configure_cache(enabled=False, maxsize=5)
-        info = homengine.hom_cache_info()
-        assert (info.enabled, info.maxsize) == (False, 5)
-        assert fresh_default.hom_cache_info().maxsize == 5
+    def test_set_default_session_routes_free_functions(self, fresh_default):
+        q = path_structure(["T", ""])
+        d = path_structure(["T", "", ""])
+        with Session(EngineConfig(backend="naive", hom_cache_size=5)) as s:
+            previous = set_default_session(s)
+            try:
+                assert repro.has_homomorphism(q, d) is True
+                assert s.hom_cache_info().misses == 1
+                assert (s.hom_cache_info().maxsize, s.resolve_backend()) == (
+                    5,
+                    "naive",
+                )
+            finally:
+                set_default_session(previous)
+        assert fresh_default.hom_cache_info().misses == 0
 
     def test_free_functions_use_default_session_cache(self, fresh_default):
         q = path_structure(["T", ""])
