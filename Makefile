@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint fuzz bench-homengine bench-cactus bench-batch bench-decomp bench-semiring bench-store bench-service bench-chaos bench check ci
+.PHONY: test lint fuzz perfbench-smoke bench-homengine bench-cactus bench-batch bench-decomp bench-semiring bench-store bench-service bench-chaos bench check ci
 
 ## tier-1 test suite (the gate every PR must keep green)
 test:
@@ -46,6 +46,14 @@ fuzz:
 	rm -rf /tmp/repro-fuzz-store
 	$(PYTHON) scripts/fuzz_differential.py --seed 7 --cases 500 --seconds 15 \
 		--cache-dir /tmp/repro-fuzz-store
+
+## end-to-end benchmark smoke: the benchmark's self-tests, then one
+## short screen run and one short service run; each run exits 1 on a
+## wrong answer, so a broken oracle or tracer lookup site fails here.
+perfbench-smoke:
+	$(PYTHON) perfbench/selftest.py
+	$(PYTHON) perfbench/run.py --workload screen --seed 1 --seconds 2 --trace 0
+	$(PYTHON) perfbench/run.py --workload service --seed 1 --seconds 2 --trace 0
 
 ## hom-engine backend comparison (naive vs bitset); writes BENCH_homengine.json
 bench-homengine:
@@ -101,7 +109,7 @@ check: test
 	$(PYTHON) scripts/bench_chaos.py --check
 
 ## everything the CI workflow runs (tests, lint, fuzz smoke, perf gates)
-ci: test lint fuzz
+ci: test lint fuzz perfbench-smoke
 	$(PYTHON) scripts/bench_homengine.py --check --output /tmp/BENCH_homengine.json
 	$(PYTHON) scripts/bench_cactus.py --check --output /tmp/BENCH_cactus.json
 	$(PYTHON) scripts/bench_batch.py --check --output /tmp/BENCH_batch.json

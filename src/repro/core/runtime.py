@@ -51,16 +51,27 @@ workers.  ``covers_any`` keeps its early-exit semantics: the scan
 returns as soon as any chunk reports a hit and cancels chunks that
 have not started.
 
-:func:`parallel_screen` is the many-queries x one-family shape (zoo
-bulk classification, UCQ disjunct sweeps, E1-style tables): the family
-is wired once, each worker rebuilds its chunk once, and every query is
-answered against the rebuilt chunk — amortising the per-instance
-serialisation and index-rebuild cost across the whole query pool.
-:func:`parallel_screen_stream` is its streaming variant: a generator of
-:class:`ScreenShard` results in *completion order* (not chunk order),
-so a long screen surfaces its first answers while later shards are
-still running — the consumer behind
-:meth:`repro.session.Session.screen` with ``stream=True``.
+:func:`parallel_screen_stream` is the many-queries x one-family shape
+(zoo bulk classification, E1-style tables): the family is wired once,
+each worker rebuilds its chunk once, and every query is answered
+against the rebuilt chunk — amortising the per-instance serialisation
+and index-rebuild cost across the whole query pool.  It yields
+:class:`ScreenShard` results in *completion order*, so a long screen
+surfaces its first answers while later shards are still running;
+:func:`parallel_screen` is the start-sorted collection of that stream.
+
+One pool loop
+=============
+
+Every sharded entry point runs its shards through
+:meth:`PoolRuntime.iter_chunks`, the only place a task is submitted and
+the only fault story: a round fails its outstanding shards when none
+completes within ``shard_timeout_ms`` (one timeout policy for every
+entry point), a corrupt result or a broken pool fails the shard, failed
+shards are requeued once on a rebuilt pool, and what fails again runs
+in-parent through the same chunk function.  Pool workers reset SIGTERM
+to its default and exit once their parent process is gone, so neither
+a server's signal handler nor a SIGKILLed parent leaves them running.
 """
 
 from __future__ import annotations
@@ -70,6 +81,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import threading
 import time
 import weakref
 from collections import OrderedDict
@@ -77,11 +89,11 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     CancelledError,
     ProcessPoolExecutor,
-    as_completed,
     wait,
 )
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -92,6 +104,7 @@ from .errors import (
     ResourceExhausted,
     UnknownSemiring,
     WorkerFailure,
+    call_budget,
     governed_scope,
 )
 from .semiring import Evaluation, Semiring, resolve_semiring
@@ -494,6 +507,31 @@ class PoolInfo:
 
 _MAX_POOL_FAILURES = 2
 
+# How often a pool worker checks that its parent process still exists.
+_ORPHAN_POLL_S = 0.5
+
+
+def _worker_init() -> None:
+    """Initializer of every pool worker process.
+
+    A forked worker inherits its parent's signal handlers: under
+    ``repro serve`` the event loop's SIGTERM handler would make the
+    worker ignore :meth:`PoolRuntime.mark_failed`'s ``terminate()``, so
+    SIGTERM goes back to its default action.  A SIGKILLed parent runs
+    no atexit sweep either, so a daemon thread exits the worker as soon
+    as its parent process is gone (``getppid()`` changes on reparenting).
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    parent = os.getppid()
+
+    def watch_parent() -> None:
+        while os.getppid() == parent:
+            time.sleep(_ORPHAN_POLL_S)
+        os._exit(0)
+
+    threading.Thread(target=watch_parent, daemon=True).start()
+
+
 # Every live runtime, for the atexit sweep: an interpreter exiting with
 # a still-open session (a REPL, a script that never calls close())
 # must not leave orphaned worker processes behind.  Weak references —
@@ -597,7 +635,9 @@ class PoolRuntime:
             self._failures = 0
         if self._pool is None:
             try:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers, initializer=_worker_init
+                )
                 self._pool_size = self.workers
             except (OSError, ValueError):  # no process support here
                 self._quarantine("spawn-failed")
@@ -643,13 +683,19 @@ class PoolRuntime:
         """A completed round clears the consecutive-failure streak."""
         self._failures = 0
 
-    def shard_chunks(self, items: Sequence, eff_workers: int, threshold: int):
+    def shard_chunks(
+        self, items: Sequence, workers: int | None, min_batch: int | None
+    ):
         """Gate the parallel path and split ``items`` into worker chunks.
 
         The one place the serial-fallback policy lives: small batch,
         single-worker override, or no usable pool all return
         ``(None, None)`` — the caller then takes its serial path.
+        ``workers`` / ``min_batch`` are per-call overrides (``None``
+        keeps the session's values).
         """
+        eff_workers = self.workers if workers is None else workers
+        threshold = self.min_batch if min_batch is None else min_batch
         if eff_workers <= 1 or len(items) < threshold:
             return None, None
         pool = self.get_pool()
@@ -657,66 +703,82 @@ class PoolRuntime:
             return None, None
         return pool, _chunk(items, min(eff_workers, self._pool_size) * 2)
 
-    def run_chunks(self, pool, worker, args_list, validate=None,
-                   on_result=None):
-        """Run one task per argument tuple with the full fault story.
+    def iter_chunks(self, pool, worker, args_list, validate):
+        """Run one ``worker`` task per argument tuple and yield
+        ``(index, result)`` as each validated result lands, in
+        completion order; every index is yielded exactly once.
 
-        Per-shard timeouts (``shard_timeout_ms``), parent-side result
-        validation (a corrupt wire result raises
-        :class:`~repro.core.errors.WorkerFailure`), one retry round of
-        only the failed shards on a rebuilt pool, and — when the retry
-        fails too and the runtime is quarantined — in-parent serial
-        execution of the stragglers, running the *same* chunk
-        functions, where fault injection never fires and engine
-        exceptions propagate normally.  Always returns a full,
-        input-ordered result list.
+        The full fault story lives here:
 
-        ``on_result(i, result)``, when given, fires once per shard as
-        its *validated* result lands — the checkpoint hook: a crash
-        later in the round cannot un-settle shards already reported.
+        * a submit error (``submit`` after a concurrent shutdown,
+          unpicklable arguments) fails that shard;
+        * the round waits for its first completion at most
+          ``shard_timeout_ms``; if none lands in time, every
+          outstanding shard fails;
+        * a result for which ``validate(result, args)`` is false — the
+          corrupt-wire fault — fails its shard with a
+          :class:`~repro.core.errors.WorkerFailure`;
+        * failed shards are requeued once on a rebuilt pool, and those
+          that fail again run in-parent through the same chunk
+          function, where fault injection never fires and engine
+          exceptions propagate normally.
+
+        A consumer that stops early (closes the generator) cancels the
+        shards that have not started; that counts as a round without
+        failure.
         """
-        results: list = [None] * len(args_list)
         pending = list(range(len(args_list)))
         for attempt in (0, 1):
             if pool is None:
                 break
-            still_failed: list[int] = []
+            failed: list[int] = []
             reason: str | None = None
-            futures: list[tuple[int, object]] = []
-            for i in pending:
-                try:
-                    futures.append((i, pool.submit(worker, *args_list[i])))
-                except (RuntimeError, OSError, pickle.PickleError) as exc:
-                    # submit() after a concurrent shutdown raises
-                    # RuntimeError; unpicklable args surface here too.
-                    reason = f"submit:{type(exc).__name__}"
-                    still_failed.append(i)
-            for i, future in futures:
-                try:
-                    result = future.result(timeout=self.shard_timeout)
-                    if validate is not None and not validate(
-                        result, args_list[i]
-                    ):
-                        raise WorkerFailure("corrupt worker result shape")
-                    results[i] = result
-                    if on_result is not None:
-                        on_result(i, result)
-                except (*_POOL_FAILURES, WorkerFailure) as exc:
-                    reason = type(exc).__name__
+            futures: dict = {}
+            try:
+                for i in pending:
+                    try:
+                        futures[pool.submit(worker, *args_list[i])] = i
+                    except (RuntimeError, OSError, pickle.PickleError) as exc:
+                        reason = f"submit:{type(exc).__name__}"
+                        failed.append(i)
+                running = set(futures)
+                while running:
+                    done, running = wait(
+                        running,
+                        timeout=self.shard_timeout,
+                        return_when=FIRST_COMPLETED,
+                    )
+                    if not done:
+                        reason = "TimeoutError"
+                        failed.extend(futures[f] for f in running)
+                        break
+                    for future in sorted(done, key=futures.__getitem__):
+                        i = futures[future]
+                        try:
+                            result = future.result()
+                            if not validate(result, args_list[i]):
+                                raise WorkerFailure(
+                                    "corrupt worker result shape"
+                                )
+                        except (*_POOL_FAILURES, WorkerFailure) as exc:
+                            reason = type(exc).__name__
+                            failed.append(i)
+                            continue
+                        yield i, result
+            finally:
+                for future in futures:
                     future.cancel()
-                    still_failed.append(i)
-            if not still_failed:
-                self.mark_healthy()
-                return results
-            pending = sorted(still_failed)
-            self.mark_failed(reason)
+                if failed:
+                    self.mark_failed(reason)
+                else:
+                    self.mark_healthy()
+            if not failed:
+                return
+            pending = sorted(failed)
             pool = self.get_pool() if attempt == 0 else None
         # Quarantined (or pool gone): finish the stragglers in-parent.
         for i in pending:
-            results[i] = worker(*args_list[i])
-            if on_result is not None:
-                on_result(i, results[i])
-        return results
+            yield i, worker(*args_list[i])
 
 
 def _runtime(session) -> PoolRuntime:
@@ -811,42 +873,26 @@ def _validate_covers(result, args) -> bool:
 
 
 def _sharded_ordered(
-    rt, items, eff_workers, threshold, worker, make_args, validate=None,
-    on_chunk=None,
+    rt, items, workers, min_batch, worker, make_args, validate
 ):
     """Run ``worker`` over chunks of ``items``, collecting in order.
 
     The shared scaffolding of the order-preserving entry points:
     gate/chunk via :meth:`PoolRuntime.shard_chunks`, build one argument
     tuple per chunk (``make_args`` is only called on the parallel path,
-    so shared wire forms are not built for serial batches), and
-    delegate to :meth:`PoolRuntime.run_chunks` — which owns the
-    timeout/retry/quarantine fault story and always returns a full
-    input-ordered result list.  Returns ``None`` only for the serial
-    gate (small batch, single worker, no usable pool); worker faults
-    are recovered *inside* ``run_chunks``, and anything else a worker
-    raises is an engine bug that propagates.
-
-    ``on_chunk(start, chunk, result)``, when given, fires per settled
-    chunk with the chunk's offset into ``items`` (the checkpoint hook
-    threaded down to :meth:`PoolRuntime.run_chunks`'s ``on_result``).
+    so shared wire forms are not built for serial batches), and collect
+    :meth:`PoolRuntime.iter_chunks` — which owns the fault story — into
+    an input-ordered list of chunk results.  Returns ``None`` only for
+    the serial gate (small batch, single worker, no usable pool).
     """
-    pool, chunks = rt.shard_chunks(items, eff_workers, threshold)
+    pool, chunks = rt.shard_chunks(items, workers, min_batch)
     if pool is None:
         return None
     args_list = [make_args(chunk) for chunk in chunks]
-    on_result = None
-    if on_chunk is not None:
-        starts = []
-        pos = 0
-        for chunk in chunks:
-            starts.append(pos)
-            pos += len(chunk)
-
-        def on_result(i, result):
-            on_chunk(starts[i], chunks[i], result)
-
-    return rt.run_chunks(pool, worker, args_list, validate, on_result)
+    results: list = [None] * len(args_list)
+    for i, result in rt.iter_chunks(pool, worker, args_list, validate):
+        results[i] = result
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -895,8 +941,8 @@ def parallel_evaluate_batch(
     chunk_results = _sharded_ordered(
         rt,
         instances,
-        rt.workers if workers is None else workers,
-        rt.min_batch if min_batch is None else min_batch,
+        workers,
+        min_batch,
         _worker_evaluate_chunk,
         make_args,
         _validate_row,
@@ -1018,8 +1064,8 @@ def parallel_semiring_batch(
     chunk_results = _sharded_ordered(
         rt,
         instances,
-        rt.workers if workers is None else workers,
-        rt.min_batch if min_batch is None else min_batch,
+        workers,
+        min_batch,
         _worker_semiring_chunk,
         make_args,
         _validate_semiring_row,
@@ -1078,18 +1124,6 @@ def _screen_ckpt(session, queries, instances, wire_backend):
     return (store, ns), done
 
 
-def _settled_rows(result, chunk_len, index_map, start=0):
-    """The checkpoint rows of one settled screen chunk: for each fully
-    Boolean column (no governed reason entries), ``(original_index,
-    column)``.  ``result`` is the chunk's per-query answer lists."""
-    rows = []
-    for j in range(chunk_len):
-        col = tuple(row[j] for row in result)
-        if all(isinstance(v, bool) for v in col):
-            rows.append((index_map[start + j], col))
-    return rows
-
-
 def parallel_screen(
     queries: Sequence[Structure],
     instances: Iterable[Structure],
@@ -1097,179 +1131,33 @@ def parallel_screen(
     backend: str | None = None,
     workers: int | None = None,
     min_batch: int | None = None,
-    on_shard=None,
     session=None,
 ) -> list[list[bool]]:
     """Evaluate a pool of Boolean CQs over one instance family, sharded.
 
     Returns one answer vector per query, ``result[qi][di]`` being the
-    answer of ``queries[qi]`` on the ``di``-th instance — exactly
-    ``[evaluate_batch(q, instances) for q in queries]``, which is also
-    the serial fallback.  The parallel path shards by *instances*: the
-    family is wired once, each worker rebuilds its chunk once and
-    answers every query against it, so the per-instance serialisation
-    and index-rebuild cost is amortised over the whole query pool.
-    This is the bulk-classification traffic shape (a zoo of queries
-    screened over one :func:`~repro.workloads.generators.instance_family`).
-
-    With a durable store attached (``cache_dir`` +
-    ``durable_checkpoints``), settled instance columns are persisted
-    as they complete: a process killed mid-screen — or a governed
-    screen whose budget tripped partway — resumes from the checkpoint
-    on the next identical call, recomputing only the unsettled
-    instances and returning answers identical to an uninterrupted run.
-
-    ``on_shard(shard)``, when given, fires one :class:`ScreenShard` per
-    settled span *as it completes* — the shard-completion hook the
-    service tier's job progress reporting hangs off.  Shards arrive in
-    completion order (checkpoint-replayed spans first), carry decoded
-    tri-state answers, and jointly cover ``range(len(instances))``
-    exactly once, the same contract :func:`parallel_screen_stream`
-    yields under.
+    answer of ``queries[qi]`` on the ``di``-th instance — the answers of
+    ``[evaluate_batch(q, instances) for q in queries]``.  This is the
+    start-sorted collection of :func:`parallel_screen_stream`, so the
+    two agree entry for entry on every session, governed or not, and
+    share its sharding, checkpointing and fault recovery.  This is the
+    bulk-classification traffic shape (a zoo of queries screened over
+    one :func:`~repro.workloads.generators.instance_family`).
     """
-    rt = _runtime(session)
-    wire_backend, wire_cache, wire_config = _worker_opts(session, backend)
     queries = list(queries)
     instances = list(instances)
-    if not queries:
-        return []
-    nq = len(queries)
-    ckpt, ckpt_done = _screen_ckpt(session, queries, instances, wire_backend)
-    missing = [i for i in range(len(instances)) if i not in ckpt_done]
-    sub = [instances[i] for i in missing]
-
-    def emit(start: int, rows) -> None:
-        """Fire ``on_shard`` for one settled block of sub-coordinates
-        ``start..start+len``, remapped to original instance indices and
-        split where checkpointed instances interleave."""
-        if on_shard is None or not rows or not rows[0]:
-            return
-        if wire_config.governed:
-            rows = [[Answer.decode(entry) for entry in row] for row in rows]
-        span = len(rows[0])
-        j = 0
-        while j < span:
-            k = j
-            while (
-                k + 1 < span
-                and missing[start + k + 1] == missing[start + k] + 1
-            ):
-                k += 1
-            on_shard(
-                ScreenShard(
-                    missing[start + j],
-                    missing[start + k] + 1,
-                    tuple(tuple(row[j : k + 1]) for row in rows),
-                )
-            )
-            j = k + 1
-
-    if on_shard is not None and ckpt_done:
-        # Checkpoint-replayed spans complete first, by definition.
-        for start, stop in _contiguous_runs(sorted(ckpt_done)):
-            on_shard(
-                ScreenShard(
-                    start,
-                    stop,
-                    tuple(
-                        tuple(ckpt_done[i][qi] for i in range(start, stop))
-                        for qi in range(nq)
-                    ),
-                )
-            )
-    shared: dict = {}
-
-    def make_args(chunk):
-        if "queries" not in shared:
-            shared["queries"] = [to_wire(q) for q in queries]
-        return (
-            shared["queries"],
-            [to_wire(s) for s in chunk],
-            wire_backend,
-            rt.worker_cache,
-            wire_cache,
-            wire_config,
-        )
-
-    on_chunk = None
-    if ckpt is not None or on_shard is not None:
-
-        def on_chunk(start, chunk, result):
-            if ckpt is not None:
-                store, ns = ckpt
-                store.write_rows(
-                    ns, _settled_rows(result, len(chunk), missing, start)
-                )
-            emit(start, result)
-
-    chunk_results = None
-    if sub:
-        chunk_results = _sharded_ordered(
-            rt,
-            sub,
-            rt.workers if workers is None else workers,
-            rt.min_batch if min_batch is None else min_batch,
-            _worker_screen_chunk,
-            make_args,
-            _validate_screen,
-            on_chunk=on_chunk,
-        )
-    if chunk_results is None:
-        if wire_config.governed:
-            with governed_scope(session):
-                sub_rows = [
-                    homengine.evaluate_batch_governed(
-                        q, sub, backend=backend, session=session
-                    )
-                    for q in queries
-                ]
-            # Settled columns checkpoint even when the budget tripped
-            # partway: the resumed screen finishes only the UNKNOWNs.
-            if on_chunk is not None:
-                on_chunk(0, sub, sub_rows)
-            sub_rows = [
-                [Answer.decode(entry) for entry in row] for row in sub_rows
-            ]
-        elif on_chunk is not None:
-            # Checkpointing/reporting serial path: instance-major so
-            # each settled column is durable (and reported) before the
-            # next instance starts — kill -9 between instances loses
-            # at most the one in flight.
-            sub_rows = [[] for _ in queries]
-            for j, instance in enumerate(sub):
-                col = tuple(
-                    homengine.has_homomorphism(
-                        q, instance, backend=backend, session=session
-                    )
-                    for q in queries
-                )
-                for qi, v in enumerate(col):
-                    sub_rows[qi].append(v)
-                on_chunk(j, [instance], [[v] for v in col])
-        else:
-            sub_rows = [
-                homengine.evaluate_batch(
-                    q, sub, backend=backend, session=session
-                )
-                for q in queries
-            ]
-    else:
-        sub_rows = [[] for _ in queries]
-        for chunk_answers in chunk_results:
-            for qi, answers in enumerate(chunk_answers):
-                if wire_config.governed:
-                    answers = [Answer.decode(entry) for entry in answers]
-                sub_rows[qi].extend(answers)
-    if not ckpt_done:
-        return sub_rows
-    results: list[list] = [[None] * len(instances) for _ in queries]
-    for i, col in ckpt_done.items():
-        for qi in range(len(queries)):
-            results[qi][i] = col[qi]
-    for j, pos in enumerate(missing):
-        for qi in range(len(queries)):
-            results[qi][pos] = sub_rows[qi][j]
-    return results
+    matrix: list[list] = [[None] * len(instances) for _ in queries]
+    for shard in parallel_screen_stream(
+        queries,
+        instances,
+        backend=backend,
+        workers=workers,
+        min_batch=min_batch,
+        session=session,
+    ):
+        for row, answers in zip(matrix, shard.answers):
+            row[shard.start : shard.stop] = answers
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -1295,24 +1183,31 @@ def parallel_screen_stream(
     min_batch: int | None = None,
     session=None,
 ) -> Iterator[ScreenShard]:
-    """The streaming variant of :func:`parallel_screen`: yield each
-    shard's answers *as its worker completes*, not in chunk order.
+    """Screen a pool of Boolean CQs over one instance family, yielding
+    each shard's answers *as it completes*, not in chunk order.
 
-    A long screen (thousands of instances, an expensive query pool)
-    surfaces its first answers while later shards are still running;
-    collecting the stream and sorting by ``start`` reproduces
-    :func:`parallel_screen` exactly (a property the tests pin).  Serial
-    batches — below ``min_batch``, single worker, pool-less sandbox —
-    yield one shard per instance as it is answered, so streaming
-    consumers behave identically (modulo shard granularity) on every
-    substrate.  A worker failure mid-stream falls back to serial
-    evaluation of the not-yet-yielded suffix; indices already yielded
-    are never re-yielded.
+    The one screen body (:func:`parallel_screen` collects it).  The
+    parallel path shards by *instances*: the family is wired once, each
+    worker rebuilds its chunk once and answers every query against it,
+    so the per-instance serialisation and index-rebuild cost is
+    amortised over the whole query pool; worker faults are recovered
+    by :meth:`PoolRuntime.iter_chunks` without re-yielding any index.
+    Serial screens — below ``min_batch``, single worker, pool-less
+    sandbox — yield one shard per instance as it is answered, and every
+    hom call charges one budget taken for the whole screen (a governed
+    session's ``hom_fuel`` / ``deadline_ms`` cap the screen, not each
+    call).  Serial and pool shards carry the same entries: ``bool``,
+    or an UNKNOWN :class:`~repro.core.errors.Answer` once a governed
+    budget trips.
 
-    With a durable store attached, previously checkpointed instance
-    columns are yielded first as synthesized shards (no recompute),
-    then the remaining instances stream normally, checkpointing each
-    settled shard as it lands.
+    With a durable store attached (``cache_dir`` +
+    ``durable_checkpoints``), previously checkpointed instance columns
+    are yielded first as synthesized shards (no recompute), then the
+    remaining instances stream normally, each settled (all-Boolean)
+    column checkpointed as its shard lands: a process killed
+    mid-screen — or a governed screen whose budget tripped partway —
+    resumes on the next identical call, recomputing only the unsettled
+    instances.
     """
     rt = _runtime(session)
     wire_backend, wire_cache, wire_config = _worker_opts(session, backend)
@@ -1322,48 +1217,96 @@ def parallel_screen_stream(
         return
     nq = len(queries)
     ckpt, ckpt_done = _screen_ckpt(session, queries, instances, wire_backend)
-    if ckpt_done:
-        # Replay the checkpoint as contiguous synthesized shards.
-        for start, stop in _contiguous_runs(sorted(ckpt_done)):
-            yield ScreenShard(
-                start,
-                stop,
-                tuple(
-                    tuple(ckpt_done[i][qi] for i in range(start, stop))
-                    for qi in range(nq)
-                ),
-            )
+    for start, stop in _contiguous_runs(sorted(ckpt_done)):
+        yield ScreenShard(
+            start,
+            stop,
+            tuple(
+                tuple(ckpt_done[i][qi] for i in range(start, stop))
+                for qi in range(nq)
+            ),
+        )
     missing = [i for i in range(len(instances)) if i not in ckpt_done]
     if not missing:
         return
     sub = [instances[i] for i in missing]
-    for shard in _screen_stream_raw(
-        rt, queries, sub, backend, workers, min_batch, session,
-        wire_backend, wire_cache, wire_config,
-    ):
-        span = shard.stop - shard.start
-        result = [list(row) for row in shard.answers]
-        if ckpt is not None:
-            store, ns = ckpt
-            store.write_rows(
-                ns, _settled_rows(result, span, missing, shard.start)
+    pool, chunks = rt.shard_chunks(sub, workers, min_batch)
+    if pool is None:
+        starts: Sequence[int] = range(len(sub))
+        shards = _serial_screen(queries, sub, backend, session)
+    else:
+        starts = [0]
+        for chunk in chunks[:-1]:
+            starts.append(starts[-1] + len(chunk))
+        query_wires = [to_wire(q) for q in queries]
+        args_list = [
+            (
+                query_wires,
+                [to_wire(s) for s in chunk],
+                wire_backend,
+                rt.worker_cache,
+                wire_cache,
+                wire_config,
             )
-        # Remap sub-coordinate shards back to original indices,
-        # splitting where checkpointed instances interleave.
-        j = shard.start
-        while j < shard.stop:
-            k = j
-            while k + 1 < shard.stop and missing[k + 1] == missing[k] + 1:
-                k += 1
-            yield ScreenShard(
-                missing[j],
-                missing[k] + 1,
-                tuple(
-                    tuple(row[j - shard.start : k + 1 - shard.start])
-                    for row in result
-                ),
-            )
-            j = k + 1
+            for chunk in chunks
+        ]
+        shards = rt.iter_chunks(
+            pool, _worker_screen_chunk, args_list, _validate_screen
+        )
+    with closing(shards):
+        for i, rows in shards:
+            if pool is not None and wire_config.governed:
+                rows = [[Answer.decode(e) for e in row] for row in rows]
+            start, span = starts[i], len(rows[0])
+            if ckpt is not None:
+                store, ns = ckpt
+                cols = (tuple(row[j] for row in rows) for j in range(span))
+                store.write_rows(
+                    ns,
+                    [
+                        (missing[start + j], col)
+                        for j, col in enumerate(cols)
+                        if all(isinstance(v, bool) for v in col)
+                    ],
+                )
+            # Remap sub-coordinates back to original indices, splitting
+            # where checkpointed instances interleave.
+            j = 0
+            while j < span:
+                k = j
+                while (
+                    k + 1 < span
+                    and missing[start + k + 1] == missing[start + k] + 1
+                ):
+                    k += 1
+                yield ScreenShard(
+                    missing[start + j],
+                    missing[start + k] + 1,
+                    tuple(tuple(row[j : k + 1]) for row in rows),
+                )
+                j = k + 1
+
+
+def _serial_screen(queries, instances, backend, session):
+    """The serial screen: ``(j, rows)`` for each instance ``j``, where
+    ``rows[qi]`` is the one-entry answer list of query ``qi`` — an
+    UNKNOWN :class:`~repro.core.errors.Answer` when the screen's single
+    budget has run out."""
+    budget = call_budget(session)
+    for j, instance in enumerate(instances):
+        rows = []
+        for q in queries:
+            try:
+                if budget is not None:
+                    budget.checkpoint()
+                answer = homengine.has_homomorphism(
+                    q, instance, backend=backend, session=session,
+                    budget=budget,
+                )
+            except ResourceExhausted as exc:
+                answer = Answer.unknown(exc.reason)
+            rows.append([answer])
+        yield j, rows
 
 
 def _contiguous_runs(indices):
@@ -1375,128 +1318,6 @@ def _contiguous_runs(indices):
         else:
             runs.append([i, i + 1])
     return [(a, b) for a, b in runs]
-
-
-def _screen_stream_raw(
-    rt, queries, instances, backend, workers, min_batch, session,
-    wire_backend, wire_cache, wire_config,
-) -> Iterator[ScreenShard]:
-    """The pre-checkpoint streaming screen body: completion-ordered
-    shards over exactly the given instances (coordinates are positions
-    in ``instances`` — :func:`parallel_screen_stream` remaps them)."""
-    governed = wire_config.governed
-
-    def _serial_answer(q, instance):
-        if governed:
-            try:
-                return homengine.has_homomorphism(
-                    q, instance, backend=backend, session=session
-                )
-            except ResourceExhausted as exc:
-                return Answer.unknown(exc.reason)
-        return homengine.has_homomorphism(
-            q, instance, backend=backend, session=session
-        )
-
-    def _serial_row(q, chunk):
-        if governed:
-            return tuple(
-                Answer.decode(entry)
-                for entry in homengine.evaluate_batch_governed(
-                    q, chunk, backend=backend, session=session
-                )
-            )
-        return tuple(
-            homengine.evaluate_batch(
-                q, chunk, backend=backend, session=session
-            )
-        )
-
-    pool, chunks = rt.shard_chunks(
-        instances,
-        rt.workers if workers is None else workers,
-        rt.min_batch if min_batch is None else min_batch,
-    )
-    if pool is None:
-        for i, instance in enumerate(instances):
-            yield ScreenShard(
-                i,
-                i + 1,
-                tuple((_serial_answer(q, instance),) for q in queries),
-            )
-        return
-    query_wires = [to_wire(q) for q in queries]
-    starts: list[int] = []
-    offset = 0
-    for chunk in chunks:
-        starts.append(offset)
-        offset += len(chunk)
-    done_spans: set[tuple[int, int]] = set()
-    futures: dict = {}
-    failure: str | None = None
-    try:
-        for chunk, start in zip(chunks, starts):
-            future = pool.submit(
-                _worker_screen_chunk,
-                query_wires,
-                [to_wire(s) for s in chunk],
-                wire_backend,
-                rt.worker_cache,
-                wire_cache,
-                wire_config,
-            )
-            futures[future] = (start, start + len(chunk))
-        # as_completed's timeout is a whole-iteration budget, so the
-        # per-shard allowance is summed over the outstanding shards —
-        # coarser than run_chunks' per-future timeout but enough to
-        # unstick a stream whose tail is a hung worker.
-        stream_timeout = (
-            None
-            if rt.shard_timeout is None
-            else rt.shard_timeout * len(futures)
-        )
-        for future in as_completed(futures, timeout=stream_timeout):
-            start, stop = futures[future]
-            answers = future.result(timeout=rt.shard_timeout)
-            if not (
-                isinstance(answers, list)
-                and len(answers) == len(queries)
-                and all(len(row) == stop - start for row in answers)
-            ):
-                raise WorkerFailure("corrupt worker result shape")
-            done_spans.add((start, stop))
-            if governed:
-                answers = [
-                    [Answer.decode(entry) for entry in row]
-                    for row in answers
-                ]
-            yield ScreenShard(
-                start, stop, tuple(tuple(row) for row in answers)
-            )
-    except (*_POOL_FAILURES, WorkerFailure) as exc:
-        failure = type(exc).__name__
-    finally:
-        # A consumer that abandons the stream early (breaks out of the
-        # loop, closing the generator) must not leave the remaining
-        # chunks burning CPU in the session's pool: cancel everything
-        # that has not started.  No-op for completed/running futures
-        # and for the normal exhausted-stream exit.
-        for future in futures:
-            future.cancel()
-    if failure is not None:
-        rt.mark_failed(failure)
-        # Serial recovery for every span not already yielded.  Only
-        # pool/worker faults land here — an engine exception raised
-        # inside a worker propagates out of the result() call above.
-        for chunk, start in zip(chunks, starts):
-            stop = start + len(chunk)
-            if (start, stop) in done_spans:
-                continue
-            yield ScreenShard(
-                start, stop, tuple(_serial_row(q, chunk) for q in queries)
-            )
-        return
-    rt.mark_healthy()
 
 
 def parallel_ucq_answers(
@@ -1545,8 +1366,8 @@ def parallel_ucq_answers(
     chunk_results = _sharded_ordered(
         rt,
         instances,
-        rt.workers if workers is None else workers,
-        rt.min_batch if min_batch is None else min_batch,
+        workers,
+        min_batch,
         _worker_ucq_chunk,
         make_args,
         _validate_row,
@@ -1580,70 +1401,38 @@ def parallel_covers_any(
     rt = _runtime(session)
     wire_backend, wire_cache, wire_config = _worker_opts(session, backend)
     pairs = list(homengine._source_seed_pairs(sources, seeds))
-    pool, chunks = rt.shard_chunks(
-        pairs,
-        rt.workers if workers is None else workers,
-        rt.min_batch if min_batch is None else min_batch,
-    )
+    pool, chunks = rt.shard_chunks(pairs, workers, min_batch)
     if pool is None:
         return homengine.covers_any(
             target, pairs, backend=backend, session=session
         )
     target_wire = to_wire(target)
-    unknown_reason: str | None = None
-    try:
-        pending = {
-            pool.submit(
-                _worker_covers_chunk,
-                target_wire,
-                [
-                    (to_wire(s), _freeze_seed(seed))
-                    for s, seed in chunk
-                ],
-                wire_backend,
-                rt.worker_cache,
-                wire_cache,
-                wire_config,
-            )
-            for chunk in chunks
-        }
-        # Early exit: return on the first chunk that reports a hit and
-        # cancel chunks that have not started (this wait loop is why
-        # covers_any does not share _sharded_ordered's collection).
-        covered = False
-        while pending:
-            done, pending = wait(
-                pending,
-                timeout=rt.shard_timeout,
-                return_when=FIRST_COMPLETED,
-            )
-            if not done:
-                # Every outstanding shard sat past the shard timeout.
-                raise FuturesTimeout("covers_any shard timed out")
-            for f in done:
-                result = f.result()
-                if not _validate_covers(result, None):
-                    raise WorkerFailure("corrupt worker result shape")
-                if result is True:
-                    covered = True
-                elif isinstance(result, str):
-                    # A governed worker ran out of budget before any
-                    # hit; remember why, but keep draining — another
-                    # chunk may still report a definite hit.
-                    unknown_reason = result
-            if covered:
-                for f in pending:
-                    f.cancel()
-                break
-    except (*_POOL_FAILURES, WorkerFailure) as exc:
-        rt.mark_failed(type(exc).__name__)
-        return homengine.covers_any(
-            target, pairs, backend=backend, session=session
+    args_list = [
+        (
+            target_wire,
+            [(to_wire(s), _freeze_seed(seed)) for s, seed in chunk],
+            wire_backend,
+            rt.worker_cache,
+            wire_cache,
+            wire_config,
         )
-    rt.mark_healthy()
-    if not covered and unknown_reason is not None:
+        for chunk in chunks
+    ]
+    unknown_reason: str | None = None
+    with closing(
+        rt.iter_chunks(pool, _worker_covers_chunk, args_list, _validate_covers)
+    ) as results:
+        for _, result in results:
+            if result is True:
+                return True
+            if isinstance(result, str):
+                # A governed worker ran out of budget before any hit;
+                # remember why, but keep draining — another chunk may
+                # still report a definite hit.
+                unknown_reason = result
+    if unknown_reason is not None:
         # No chunk found a hit and at least one gave up: the overall
         # answer is unknown, and the caller's governed surface decides
         # how to report it.
         raise ResourceExhausted.from_reason(unknown_reason)
-    return covered
+    return False

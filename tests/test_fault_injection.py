@@ -16,6 +16,7 @@ Three layers under test:
 """
 
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -41,6 +42,7 @@ from repro.core.boundedness import (
 )
 from repro.core.homengine import evaluate_batch_governed
 from repro.core.runtime import (
+    parallel_covers_any,
     parallel_evaluate_batch,
     parallel_screen,
     parallel_screen_stream,
@@ -64,6 +66,41 @@ def faulty_session(fault_plan, **overrides):
 
 QUERY = path_structure(["T", "", "F"])
 FAMILY = instance_family(12, 14, 26, seed=31)
+
+# A covers_any batch whose only hit sits in the last shard.
+COVER_SOURCE = path_structure(["", ""], prefix="q")
+COVER_TARGET = path_structure(["", "", ""], prefix="d")
+COVER_PAIRS = [(COVER_SOURCE, {"q0": "d2"})] * 7 + [
+    (COVER_SOURCE, {"q0": "d0"})
+]
+
+
+def collect_stream(shards):
+    shards = sorted(shards, key=lambda sh: sh.start)
+    return [
+        [a for sh in shards for a in sh.answers[qi]]
+        for qi in range(len(shards[0].answers))
+    ]
+
+
+# Every pool entry point, as a call on a given session.
+ENTRY_POINTS = {
+    "evaluate_batch": lambda s: parallel_evaluate_batch(
+        QUERY, FAMILY, session=s
+    ),
+    "screen": lambda s: parallel_screen([QUERY], FAMILY, session=s),
+    "screen_stream": lambda s: collect_stream(
+        parallel_screen_stream([QUERY], FAMILY, session=s)
+    ),
+    "covers_any": lambda s: parallel_covers_any(
+        COVER_TARGET, COVER_PAIRS, session=s
+    ),
+}
+
+
+def serial_answer(entry):
+    with Session(EngineConfig(workers=1)) as s:
+        return ENTRY_POINTS[entry](s)
 
 
 # ----------------------------------------------------------------------
@@ -288,6 +325,18 @@ class TestFaultInjection:
         assert elapsed < 30  # nowhere near the 600s injected sleep
         assert info.last_fallback is not None
 
+    @pytest.mark.parametrize("entry", ["screen_stream", "covers_any"])
+    def test_hang_times_out_on_unordered_paths(self, entry):
+        want = serial_answer(entry)
+        with faulty_session((("hang", 0),), shard_timeout_ms=200) as s:
+            started = time.monotonic()
+            got = ENTRY_POINTS[entry](s)
+            elapsed = time.monotonic() - started
+            info = s.pool_info()
+        assert got == want
+        assert elapsed < 30
+        assert info.last_fallback is not None
+
     def test_corrupt_result_detected_and_recovered(self):
         want = serial_screen([QUERY], FAMILY)[0]
         with faulty_session((("corrupt", 0),)) as s:
@@ -391,6 +440,22 @@ class TestDegradationPaths:
             info = rt.info()
         assert got == want
         assert info.failures == 0  # the retry round completed clean
+        assert info.last_fallback == "submit:RuntimeError"
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_submit_refused_falls_back_serially(self, entry, monkeypatch):
+        # Session.close() racing a running batch makes every submit
+        # raise; each entry point must answer serially, not raise.
+        want = serial_answer(entry)
+
+        def refuse(self, *args, **kwargs):
+            raise RuntimeError("cannot schedule new futures after shutdown")
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", refuse)
+        with faulty_session(()) as s:
+            got = ENTRY_POINTS[entry](s)
+            info = s.pool_info()
+        assert got == want
         assert info.last_fallback == "submit:RuntimeError"
 
     def test_failure_cooldown_state_machine(self):

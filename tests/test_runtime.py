@@ -8,10 +8,17 @@ serial fast path below the batch threshold, and keep the rewired
 consumers (``ucq_certain_answers``, the boundedness probe) exact.
 """
 
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
+import repro
 from repro import EngineConfig, Session
 from repro.core import OneCQ, build_cactus, full_shape, path_structure
 from repro.core import runtime
@@ -268,3 +275,97 @@ class TestPoolManagement:
         s.close()
         s.close()
         assert not s.pool_info().running
+
+
+# ----------------------------------------------------------------------
+# Worker process lifetime
+# ----------------------------------------------------------------------
+
+# Spawns a 2-worker pool under an asyncio SIGTERM handler (as
+# ``repro serve`` installs one), prints the worker pids, then idles.
+_POOL_CHILD = """
+import asyncio, signal, sys, time
+from repro import EngineConfig, Session
+from repro.core.runtime import parallel_evaluate_batch
+from repro.core.structure import path_structure
+from repro.workloads import instance_family
+
+loop = asyncio.new_event_loop()
+loop.add_signal_handler(signal.SIGTERM, lambda: None)
+with Session(EngineConfig(workers=2, parallel_min=4)) as s:
+    parallel_evaluate_batch(
+        path_structure(["T", "", "F"]),
+        instance_family(8, 6, 10, seed=1),
+        session=s,
+    )
+    print(*s.pool._pool._processes, flush=True)
+    time.sleep(120)
+"""
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+def _gone_within(pids, seconds: float) -> bool:
+    deadline = time.monotonic() + seconds
+    while any(_alive(p) for p in pids):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+@pytest.fixture
+def pool_child():
+    """A child process holding a live 2-worker pool: ``(proc, pids)``.
+    Everything it started is killed afterwards, pass or fail."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _POOL_CHILD],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    pids: list[int] = []
+    # A child that never prints must not hang the test run.
+    watchdog = threading.Timer(60, proc.kill)
+    watchdog.start()
+    try:
+        pids = [int(p) for p in proc.stdout.readline().split()]
+        assert len(pids) == 2
+        yield proc, pids
+    finally:
+        watchdog.cancel()
+        for pid in [proc.pid, *pids]:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        proc.wait()
+        proc.stdout.close()
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc"), reason="needs POSIX signals and /proc"
+)
+class TestWorkerLifetime:
+    def test_worker_dies_on_sigterm_under_handler(self, pool_child):
+        _, pids = pool_child
+        os.kill(pids[0], signal.SIGTERM)
+        assert _gone_within(pids[:1], 5)
+
+    def test_workers_exit_when_parent_is_killed(self, pool_child):
+        proc, pids = pool_child
+        proc.kill()
+        proc.wait()
+        assert _gone_within(pids, 5)

@@ -41,7 +41,7 @@ from repro.session import (
     reset_default_session,
     set_default_session,
 )
-from repro.workloads import instance_family
+from repro.workloads import instance_family, random_ditree_cq
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -362,6 +362,30 @@ class TestStreamingScreen:
             # way the reassembly above proves exact coverage.
             if s.pool_info().running:
                 assert len(shards) > 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("fuel", [50, 200, 2000])
+    def test_governed_stream_matches_blocking_screen(self, workers, fuel):
+        # One budget per screen on both surfaces: a streamed screen must
+        # not hand each hom call a fresh budget of its own.
+        queries = [random_ditree_cq(8, seed=i) for i in range(6)]
+        family = instance_family(8, 60, 200, seed=3)
+        config = EngineConfig(
+            workers=workers, parallel_min=4, hom_cache=False, hom_fuel=fuel
+        )
+        with Session(config) as s:
+            blocking = s.screen(queries, family)
+            streamed = self._reassemble(
+                s.screen(queries, family, stream=True),
+                len(queries),
+                len(family),
+            )
+        assert streamed == blocking
+        if fuel == 50:
+            unknown = [
+                e for row in streamed for e in row if not isinstance(e, bool)
+            ]
+            assert unknown and all(e.reason == "fuel" for e in unknown)
 
     def test_stream_empty_inputs(self):
         with Session(EngineConfig(workers=1)) as s:
